@@ -20,8 +20,8 @@ Subpackages
     Serving layer: checkpoints, exact top-k index, online scorers,
     inductive inference, and the query service front door.
 ``repro.scale``
-    Training scale-out: sharded corpus generation across processes,
-    and shard stores with disk spill.
+    Training scale-out: sharded corpus generation and shard stores with
+    disk spill.
 """
 
 from repro.core import CoANE, CoANEConfig

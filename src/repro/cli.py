@@ -10,7 +10,7 @@ Examples::
     python -m repro train --dataset pubmed --workers 4 --dtype float32
     python -m repro bench --dataset pubmed --scale 1.0
     python -m repro bench --stage serve --dataset pubmed --scale 0.5
-    python -m repro bench --stage scale --dataset pubmed --workers 1,2,4
+    python -m repro bench --stage scale --dataset pubmed
     python -m repro export --dataset pubmed --output pubmed.ckpt.npz
     python -m repro query --checkpoint pubmed.ckpt.npz --node 7 --topk 10
     python -m repro serve --checkpoint pubmed.ckpt.npz --port 8080
@@ -130,9 +130,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
                              "serve: batched-query size")
     parser.add_argument("--topk", type=int, default=10,
                         help="serve stage: neighbors per query (default 10)")
-    parser.add_argument("--workers", default="1,2,4",
-                        help="scale stage: comma-separated worker counts to "
-                             "time shard generation at (default 1,2,4)")
     parser.add_argument("--dtype", default="float32",
                         choices=["float32", "float64"],
                         help="scale stage: reduced-precision dtype to compare "
@@ -230,27 +227,15 @@ def run_traffic_bench_cli(args) -> int:
 def run_scale_bench_cli(args) -> int:
     from repro.perf import run_scale_bench, write_report
 
-    try:
-        workers_list = [int(w) for w in str(args.workers).split(",") if w.strip()]
-    except ValueError:
-        raise SystemExit(f"--workers must be comma-separated ints, got {args.workers!r}")
-    if not workers_list:
-        raise SystemExit("--workers must name at least one worker count")
-    if any(workers < 1 for workers in workers_list):
-        raise SystemExit("--workers counts must all be >= 1")
     report = run_scale_bench(
         dataset=args.dataset, scale=args.scale, seed=args.seed,
-        epochs=args.epochs, workers_list=workers_list, dtype=args.dtype,
+        epochs=args.epochs, dtype=args.dtype,
     )
-    rows = [[f"shard generation x{workers}", round(entry["seconds"], 4),
-             f"{entry['speedup_vs_1']:.2f}x vs 1" if entry["speedup_vs_1"] else "-"]
-            for workers, entry in report["generation"].items()]
     dtype = report["dtype"]
     reduced = dtype["reduced_dtype"]
-    for label, key in (("float64 epoch", "float64_epoch_seconds"),
-                       (f"{reduced} epoch", "reduced_epoch_seconds")):
-        seconds = dtype[key]
-        rows.append([label, round(seconds, 4) if seconds else "-", "-"])
+    rows = [[label, round(dtype[key], 4) if dtype[key] else "-", "-"]
+            for label, key in (("float64 epoch", "float64_epoch_seconds"),
+                               (f"{reduced} epoch", "reduced_epoch_seconds"))]
     rows.append([f"{reduced} speedup", "-",
                  f"{dtype['speedup']:.2f}x" if dtype["speedup"] else "-"])
     rows.append([f"{reduced} cosine drift", "-",
@@ -363,8 +348,9 @@ def build_train_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch-size", type=int, default=None,
                         help="mini-batch size (default: full batch)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="corpus-generation worker processes; the corpus "
-                             "is a pure function of (seed, workers)")
+                        help="number of corpus shards, generated serially "
+                             "in this process; the corpus is a pure function "
+                             "of (seed, workers)")
     parser.add_argument("--spill-dir", default=None,
                         help="spill context shards to this directory "
                              "(memory-mapped; for larger-than-memory corpora)")
@@ -394,8 +380,8 @@ def build_train_parser() -> argparse.ArgumentParser:
     obs = parser.add_argument_group("observability (repro.obs)")
     obs.add_argument("--trace", default=None, metavar="PATH",
                      help="append a JSONL span trace of the fit to PATH "
-                          "(run manifest, epoch/batch spans, supervision "
-                          "events, final metrics snapshot); equivalent to "
+                          "(run manifest, epoch/batch and shard spans, "
+                          "final metrics snapshot); equivalent to "
                           "setting REPRO_TRACE, and provably free when off")
     return parser
 
@@ -465,11 +451,6 @@ def _run_train(args) -> int:
     if args.trace:
         rows.append(["trace", f"{args.trace} "
                               "(inspect with 'repro trace summarize')"])
-    report = estimator.generation_report_
-    if report:
-        rows.append(["generation supervision",
-                     f"{report['retries']} retries, {report['respawns']} "
-                     f"respawns, {len(report['degraded'])} degraded"])
     print(format_table(["field", "value"], rows,
                        title=f"repro train ({graph.name})"))
     if args.output:

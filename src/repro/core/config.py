@@ -56,13 +56,14 @@ class CoANEConfig:
     batch_size: int | None = None    # None = full batch
 
     # --- scale-out (repro.scale) ---
-    # num_workers shards walk/context generation across processes; the corpus
-    # is bit-identical to the classic path at 1 and a pure function of
-    # (seed, num_workers) above it.  spill_dir spills shards to disk; either
-    # way each shard is folded into the per-node context aggregate and the
-    # co-occurrence counts, so the (num_contexts, c*d) context matrix never
-    # exists.  dtype picks the compute precision of the whole fit ("float32"
-    # roughly halves memory and doubles dense-GEMM throughput).
+    # num_workers is the number of shards walk/context generation is cut
+    # into (run serially, in shard order); the corpus is bit-identical to the
+    # classic path at 1 and a pure function of (seed, num_workers) above it.
+    # spill_dir spills shards to disk; either way each shard is folded into
+    # the per-node context aggregate and the co-occurrence counts, so the
+    # (num_contexts, c*d) context matrix never exists.  dtype picks the
+    # compute precision of the whole fit ("float32" halves every parameter,
+    # activation and gradient and runs the dense GEMMs in single precision).
     num_workers: int = 1
     spill_dir: str | None = None
     dtype: str = "float64"
@@ -71,9 +72,9 @@ class CoANEConfig:
     # trace_path arms span tracing for the fit: epoch/batch spans, a run
     # manifest, and a final metrics snapshot are appended as JSONL to this
     # file.  Precedence: config > `repro train --trace` (which writes this
-    # field) > the REPRO_TRACE environment variable (read at import so pool
-    # workers inherit it).  Tracing never touches an RNG stream or a numeric
-    # path; an armed fit is bit-identical to a disarmed one.
+    # field) > the REPRO_TRACE environment variable (read at import so
+    # subprocesses inherit it).  Tracing never touches an RNG stream or a
+    # numeric path; an armed fit is bit-identical to a disarmed one.
     trace_path: str | None = None
 
     # --- durability (repro.resilience) ---
@@ -141,7 +142,8 @@ class CoANEConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if self.trace_path is not None and not str(self.trace_path).strip():
             raise ValueError("trace_path must be None or a non-empty path")
-        if self.num_workers > 1 and self.context_source != "walk":
+        if ((self.num_workers > 1 or self.spill_dir is not None)
+                and self.context_source != "walk"):
             raise ValueError(
                 "sharded corpus generation requires context_source='walk'"
             )

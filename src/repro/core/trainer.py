@@ -17,11 +17,11 @@ linear and bias-free with stride equal to its width, so an epoch computes
 ``M W = Σ_p A_p (X W_p)`` for ``n`` nodes instead of encoding every context,
 and ``M`` itself is never built.
 
-Scale-out (see :mod:`repro.scale`): ``num_workers`` shards walk/context
-generation across worker processes and ``spill_dir`` spills the shards to
-disk; each shard's context shares and co-occurrence counts are summed in
-one node-id column space, so the windows are never concatenated and the
-attribute table is read once, after the last shard.
+Scale-out (see :mod:`repro.scale`): ``num_workers`` cuts walk/context
+generation into that many shards, run serially, and ``spill_dir`` spills the
+shards to disk; each shard's context shares and co-occurrence counts are
+summed in one node-id column space, so the windows are never concatenated
+and the attribute table is read once, after the last shard.
 ``dtype="float32"`` runs the whole fit at reduced precision via
 :func:`repro.nn.compute_dtype`.
 """
@@ -198,7 +198,6 @@ class CoANE:
         self.context_counts_ = None
         self.aggregate_ = None
         self.cooccurrence_ = None
-        self.generation_report_ = None
 
     # ------------------------------------------------------------- pipeline
     def fit(self, graph: AttributedGraph, resume: bool = False) -> "CoANE":
@@ -351,7 +350,7 @@ class CoANE:
     def _build_corpus(self, graph: AttributedGraph, attributes, walk_rng,
                       context_rng) -> tuple:
         """Generate the context corpus; returns ``(counts, cooccurrence,
-        aggregate)`` and sets ``context_set_``/``generation_report_``.
+        aggregate)`` and sets ``context_set_``.
 
         The default configuration replays the historical inline pipeline with
         the same ``walk_rng``/``context_rng`` streams, so its corpus is
@@ -362,7 +361,6 @@ class CoANE:
         cfg = self.config
         n = graph.num_nodes
         self.context_set_ = None
-        self.generation_report_ = None
         if cfg.context_source != "walk":
             context_set = _onehop_contexts(graph, cfg.context_size, context_rng)
         elif cfg.num_workers == 1 and cfg.spill_dir is None:
@@ -393,7 +391,6 @@ class CoANE:
                 seed=cfg.seed, num_workers=cfg.num_workers,
                 walk_rng=walk_rng, context_rng=context_rng, store=store,
             )
-            self.generation_report_ = store.generation_report
             counts, D, shares = fold_shard_store(store, graph.num_nodes)
         cooccurrence = finalize_cooccurrence(D, graph, int(counts.max()))
         aggregate = ContextAggregate.from_shares(shares, attributes,

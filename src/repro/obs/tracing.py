@@ -3,9 +3,9 @@
 A *span* is one timed region of the pipeline — an epoch, a mini-batch, a
 shard task, a pipeline stage — with monotonic start/end timestamps, a wall
 clock stamp, a parent link, and free-form attributes.  An *event* is a point
-record (a supervisor retry, a respawn, a metrics snapshot).  Both serialise
-as one JSON object per line, so a trace survives the process that wrote it
-and a crashed run's trace is readable up to its last complete line.
+record (a named marker, a metrics snapshot).  Both serialise as one JSON
+object per line, so a trace survives the process that wrote it and a crashed
+run's trace is readable up to its last complete line.
 
 Arming and precedence
 ---------------------
@@ -13,10 +13,11 @@ A process-global :class:`Tracer` is armed exactly like the fault injector
 (:mod:`repro.resilience.faults`): ``CoANEConfig(trace_path=...)`` scopes a
 tracer around one fit and wins over ``repro train --trace`` (which writes
 that config field), which wins over the ``REPRO_TRACE`` environment variable
-— read **at import time** so pool workers and CI subprocesses join the trace
-without code changes.  Worker processes forked while a tracer is armed
-inherit its ``O_APPEND`` descriptor; every record is emitted as a single
-``write()``, so concurrent writers interleave whole lines, never bytes.
+— read **at import time** so CI subprocesses join the trace without code
+changes.  Every record is emitted as a single ``write()`` on an ``O_APPEND``
+descriptor, so concurrent writers (subprocesses sharing one trace file, or
+processes forked while a tracer is armed) interleave whole lines, never
+bytes.
 
 Determinism contract
 --------------------
@@ -55,7 +56,7 @@ import threading
 import time
 
 #: Environment variable naming a trace file; read at import (see below) so
-#: spawned workers and CI subprocesses arm themselves.
+#: CI subprocesses arm themselves.
 TRACE_ENV = "REPRO_TRACE"
 
 #: Trace schema version stamped on every manifest record.
@@ -147,8 +148,8 @@ class Tracer:
         record.setdefault("pid", os.getpid())
         line = json.dumps(record, separators=(",", ":"),
                           default=_json_default) + "\n"
-        # One write() per record: O_APPEND makes concurrent writers (forked
-        # pool workers) interleave whole lines.
+        # One write() per record: O_APPEND makes concurrent writers
+        # interleave whole lines.
         os.write(self._fd, line.encode())
 
     # ----------------------------------------------------------------- spans
@@ -380,6 +381,6 @@ def summarize_trace(records) -> dict:
             "metrics": metrics}
 
 
-# Arm automatically when the environment names a trace file, so spawned
-# worker processes and CI subprocesses join the trace without code changes.
+# Arm automatically when the environment names a trace file, so CI
+# subprocesses join the trace without code changes.
 arm_from_env()

@@ -8,12 +8,11 @@ times every pipeline stage (walks → contexts → co-occurrence → sampler bui
 ``repro bench --stage serve`` drives :func:`run_serve_bench`, which measures
 the serving surface (checkpoint round-trip, index build, query latency and
 throughput) into ``BENCH_serve.json``.  ``repro bench --stage scale`` drives
-:func:`run_scale_bench`, which measures the scale-out axes (shard-generation
-speedup vs workers, float32 vs float64) into
-``BENCH_scale.json``.  ``repro bench --stage traffic`` drives
-:func:`run_traffic_bench`, which loads the HTTP edge with seeded open-loop
-traffic (rate sweep → overload → hot reload under load) into
-``BENCH_traffic.json``.  Every report is stamped with the shared
+:func:`run_scale_bench`, which measures float32 against float64 (epoch time
+and embedding drift) into ``BENCH_scale.json``.  ``repro bench --stage
+traffic`` drives :func:`run_traffic_bench`, which loads the HTTP edge with
+seeded open-loop traffic (rate sweep → overload → hot reload under load)
+into ``BENCH_traffic.json``.  Every report is stamped with the shared
 git/seed/platform run context by :func:`write_report`.
 """
 

@@ -1,15 +1,9 @@
-"""Scale-out benchmark: worker scaling and dtype speedup.
+"""Scale-out benchmark: reduced-precision speedup and drift.
 
-``repro bench --stage scale`` measures the two axes the :mod:`repro.scale`
-subsystem and the compute-dtype mode add and writes them to
-``BENCH_scale.json``:
-
-* **shard generation vs workers** — wall time of the sharded walk/context
-  generation at each worker count (processes), with speedup relative to the
-  single-worker path,
-* **float32 vs float64** — mean epoch time in each compute dtype and the
-  cosine drift of the final embeddings (how far reduced precision moves the
-  learned vectors).
+``repro bench --stage scale`` measures the axis the compute-dtype mode adds
+and writes it to ``BENCH_scale.json``: **float32 vs float64** — mean epoch
+time in each compute dtype and the cosine drift of the final embeddings (how
+far reduced precision moves the learned vectors).
 """
 
 from __future__ import annotations
@@ -20,19 +14,6 @@ import numpy as np
 
 from repro.core import CoANE, CoANEConfig
 from repro.perf.bench import _bench_config, _load_graph
-from repro.scale import ShardStore, generate_context_shards
-
-
-def _generation_seconds(graph, cfg: CoANEConfig, num_workers: int,
-                        seed: int) -> tuple:
-    start = time.perf_counter()
-    store = generate_context_shards(
-        graph, walk_length=cfg.walk_length, num_walks=cfg.num_walks,
-        context_size=cfg.context_size, subsample_t=cfg.subsample_t,
-        seed=seed, num_workers=num_workers, store=ShardStore(),
-        parallel=num_workers > 1,
-    )
-    return time.perf_counter() - start, store.num_contexts
 
 
 def _fit_seconds(graph, cfg: CoANEConfig) -> tuple:
@@ -58,29 +39,12 @@ def _cosine_drift(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def run_scale_bench(dataset: str = "pubmed", scale: float = 1.0, seed: int = 0,
-                    epochs: int = 3, workers_list=(1, 2, 4), dtype: str = "float32",
+                    epochs: int = 3, dtype: str = "float32",
                     graph=None) -> dict:
-    """Measure the scale-out axes on one dataset analog; return the report."""
+    """Measure the dtype axis on one dataset analog; return the report."""
     if graph is None:
         graph = _load_graph(dataset, scale, seed)
     base = _bench_config(seed, epochs)
-
-    # --- sharded generation scaling -----------------------------------------
-    # Speedups are always reported against a real workers=1 measurement, so a
-    # custom --workers list that omits 1 cannot silently shift the baseline.
-    workers_list = [int(workers) for workers in workers_list]
-    baseline_seconds, baseline_contexts = _generation_seconds(graph, base, 1, seed)
-    generation = {}
-    for workers in workers_list:
-        if workers == 1:
-            seconds, contexts = baseline_seconds, baseline_contexts
-        else:
-            seconds, contexts = _generation_seconds(graph, base, workers, seed)
-        generation[str(workers)] = {
-            "seconds": seconds,
-            "contexts": contexts,
-            "speedup_vs_1": (baseline_seconds / seconds) if seconds > 0 else None,
-        }
 
     # --- reduced precision vs float64 ---------------------------------------
     f64_seconds, f64_embeddings = _fit_seconds(graph, _bench_config(seed, epochs))
@@ -107,8 +71,6 @@ def run_scale_bench(dataset: str = "pubmed", scale: float = 1.0, seed: int = 0,
             "num_walks": base.num_walks,
             "context_size": base.context_size,
             "epochs": epochs,
-            "workers_list": [int(w) for w in workers_list],
         },
-        "generation": generation,
         "dtype": dtype_report,
     }

@@ -1,19 +1,15 @@
-"""Fault tolerance: deterministic fault injection, supervised execution,
-durable training state, and artifact integrity.
+"""Fault tolerance: deterministic fault injection, durable training state,
+and artifact integrity.
 
 ``repro.resilience`` is the correctness tooling that lets the scale and
 serve layers survive real-world failure — and lets the test suite *prove*
 they do:
 
-* :mod:`~repro.resilience.faults` — a seeded, replayable
+* :mod:`~repro.resilience.faults` — a replayable
   :class:`FaultPlan`/:class:`FaultInjector` pair that can be armed (in code
-  or via ``REPRO_FAULT_PLAN``) to crash workers, hang tasks, corrupt spill
-  files, tear checkpoint writes, or kill training at chosen points.  When
-  disarmed, every injection site is a single global ``None`` check.
-* :mod:`~repro.resilience.supervisor` — :func:`run_supervised` runs a batch
-  of pool tasks with per-task timeouts, bounded retries with exponential
-  backoff + jitter, dead-pool detection and re-spawn, and graceful
-  degradation to in-process execution once retries are exhausted.
+  or via ``REPRO_FAULT_PLAN``) to crash shard tasks, delay calls, corrupt
+  spill files, tear checkpoint writes, or kill training at chosen points.
+  When disarmed, every injection site is a single global ``None`` check.
 * :mod:`~repro.resilience.integrity` — content checksums, atomic
   write-temp-fsync-replace file updates, and the
   :class:`ShardCorruptError`/:class:`CheckpointCorruptError` quarantine
@@ -22,11 +18,6 @@ they do:
   :class:`TrainingState` checkpoints with content checksums, powering
   ``repro train --resume`` (resume-after-kill equals an uninterrupted run
   exactly at float64).
-
-Because every shard owns its own ``SeedSequence`` grandchild, a retried or
-degraded shard is bit-identical to the shard a healthy worker would have
-produced — the corpus stays a pure function of ``(seed, num_workers)`` under
-*any* fault schedule.
 """
 
 from repro.resilience.faults import (
@@ -49,11 +40,6 @@ from repro.resilience.integrity import (
     array_checksum,
     atomic_replace,
     atomic_save_npy,
-)
-from repro.resilience.supervisor import (
-    RetryPolicy,
-    SupervisorReport,
-    run_supervised,
 )
 from repro.resilience.training import (
     ResumeMismatchError,
@@ -80,9 +66,6 @@ __all__ = [
     "array_checksum",
     "atomic_replace",
     "atomic_save_npy",
-    "RetryPolicy",
-    "SupervisorReport",
-    "run_supervised",
     "TrainingState",
     "ResumeMismatchError",
     "save_training_state",

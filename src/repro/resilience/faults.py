@@ -2,32 +2,25 @@
 
 A fault schedule is data, not chance: a :class:`FaultPlan` is a list of
 :class:`FaultSpec` entries, each naming an injection *site* (a string like
-``"shard.walk"``), an occurrence *key* (for shard tasks, ``(shard,
-attempt)``), and a *kind* — what happens when that occurrence is reached.
-Plans serialise to JSON, so the same schedule can be armed in code, shipped
-to a CI job through the ``REPRO_FAULT_PLAN`` environment variable, and
-replayed byte-for-byte.  :meth:`FaultPlan.shard_chaos` draws a schedule from
-a seed, so "three crashes and one corrupted spill" is one integer away from
-reproducible.
+``"shard.walk"``), an occurrence *key* (for shard tasks, ``(shard,)``),
+and a *kind* — what happens when that occurrence is reached.  Plans
+serialise to JSON, so the same schedule can be armed in code, shipped to a
+CI job through the ``REPRO_FAULT_PLAN`` environment variable, and replayed
+byte-for-byte.
 
 Arming installs a process-global :class:`FaultInjector`; production code
 calls :func:`fault_check` at its injection sites.  When nothing is armed the
 check is a single module-global ``None`` comparison — the sites cost nothing
-in normal operation (the scale bench's < 2 % overhead budget).  Worker
-processes inherit the armed injector through ``fork`` or re-read the
-environment variable on import, so pool workers honour the same plan as the
-parent.
+in normal operation.  Subprocesses re-read the environment variable on
+import, so they honour the same plan as the parent.
 
 Fault kinds
 -----------
 ``crash``
-    Raise :class:`InjectedCrash` at the site (a worker task failing).
+    Raise :class:`InjectedCrash` at the site (a task failing).
 ``kill``
     Raise :class:`InjectedKill` — simulates the *process* dying (training
     kill tests, torn-write tests).  Callers are expected not to catch it.
-``hang``
-    Sleep for ``seconds`` (default far beyond any supervisor timeout), so a
-    per-task deadline is the only way out.
 ``corrupt``
     Overwrite the tail of a just-written file with garbage
     (:func:`fault_corrupt_file`) — a torn or bit-rotted spill.
@@ -35,7 +28,8 @@ Fault kinds
     Truncate a file mid-write and raise :class:`InjectedKill` — a process
     killed between write and rename.
 ``delay``
-    Sleep for ``seconds`` before continuing (serving-deadline tests).
+    Sleep for ``seconds`` (default :data:`DEFAULT_DELAY_SECONDS`) before
+    continuing (serving-deadline tests).
 """
 
 from __future__ import annotations
@@ -45,16 +39,14 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 #: Environment variable holding a JSON fault plan; read at import and by
-#: :func:`arm_from_env`, so spawned workers and CI jobs arm themselves.
+#: :func:`arm_from_env`, so subprocesses and CI jobs arm themselves.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
-KINDS = ("crash", "kill", "hang", "corrupt", "torn", "delay")
+KINDS = ("crash", "kill", "corrupt", "torn", "delay")
 
-#: Default sleep for ``hang`` faults — far beyond any sane task timeout.
-DEFAULT_HANG_SECONDS = 30.0
+#: Sleep of a ``delay`` spec that names no ``seconds``.
+DEFAULT_DELAY_SECONDS = 30.0
 
 
 class InjectedFault(RuntimeError):
@@ -67,15 +59,9 @@ class InjectedFault(RuntimeError):
         self.key = key
         self.kind = kind
 
-    def __reduce__(self):
-        # Injected faults cross the pool's result pipe; the default exception
-        # reduce replays ``cls(*args)`` with the formatted message, not our
-        # three-argument signature.
-        return (self.__class__, (self.site, self.key, self.kind))
-
 
 class InjectedCrash(InjectedFault):
-    """A task failing — retryable by a supervisor."""
+    """A task failing; the caller sees the exception."""
 
 
 class InjectedKill(InjectedFault):
@@ -112,10 +98,9 @@ class FaultSpec:
 class FaultPlan:
     """An ordered, replayable fault schedule."""
 
-    def __init__(self, specs=(), seed=None):
+    def __init__(self, specs=()):
         self.specs = [spec if isinstance(spec, FaultSpec)
                       else FaultSpec.from_dict(spec) for spec in specs]
-        self.seed = seed
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -125,10 +110,7 @@ class FaultPlan:
 
     # ---------------------------------------------------------- serialisation
     def to_json(self) -> str:
-        payload = {"entries": [spec.to_dict() for spec in self.specs]}
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        return json.dumps(payload)
+        return json.dumps({"entries": [spec.to_dict() for spec in self.specs]})
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -136,47 +118,7 @@ class FaultPlan:
         if not isinstance(payload, dict) or "entries" not in payload:
             raise ValueError(
                 "a fault plan is a JSON object with an 'entries' list")
-        return cls(payload["entries"], seed=payload.get("seed"))
-
-    # ----------------------------------------------------------- construction
-    @classmethod
-    def shard_chaos(cls, seed, num_shards: int, crashes: int = 3,
-                    hangs: int = 0, corrupt_spills: int = 1,
-                    hang_seconds: float = DEFAULT_HANG_SECONDS) -> "FaultPlan":
-        """Draw a shard-generation fault schedule from a seed.
-
-        Crashes and hangs target ``("shard.walk", (shard, attempt))``;
-        repeated draws of the same shard escalate the attempt number, so a
-        bounded-retry supervisor always converges as long as no shard draws
-        more faults than its retry budget.  Spill corruptions target
-        ``("store.spill", (shard, attempt))`` and corrupt the *first* write
-        of the drawn shard.  The same ``(seed, num_shards)`` always yields
-        the same plan.
-        """
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        rng = np.random.default_rng(seed)
-        specs = []
-        attempts = {}
-        for _ in range(int(crashes)):
-            shard = int(rng.integers(num_shards))
-            attempt = attempts.get(shard, 0)
-            attempts[shard] = attempt + 1
-            specs.append(FaultSpec("shard.walk", "crash", (shard, attempt)))
-        for _ in range(int(hangs)):
-            shard = int(rng.integers(num_shards))
-            attempt = attempts.get(shard, 0)
-            attempts[shard] = attempt + 1
-            specs.append(FaultSpec("shard.walk", "hang", (shard, attempt),
-                                   seconds=hang_seconds))
-        corrupted = set()
-        for _ in range(int(corrupt_spills)):
-            shard = int(rng.integers(num_shards))
-            if shard in corrupted:
-                continue
-            corrupted.add(shard)
-            specs.append(FaultSpec("store.spill", "corrupt", (shard, 0)))
-        return cls(specs, seed=seed)
+        return cls(payload["entries"])
 
 
 class FaultInjector:
@@ -228,7 +170,7 @@ def arm(plan) -> FaultInjector:
     if isinstance(plan, str):
         plan = FaultPlan.from_json(plan)
     elif isinstance(plan, dict):
-        plan = FaultPlan(plan.get("entries", ()), seed=plan.get("seed"))
+        plan = FaultPlan(plan.get("entries", ()))
     elif not isinstance(plan, FaultPlan):
         raise TypeError(f"cannot arm a {type(plan).__name__}")
     _injector = FaultInjector(plan)
@@ -252,8 +194,8 @@ def arm_from_env() -> FaultInjector:
 def fault_check(site: str, key=None):
     """Injection site: a no-op unless an armed spec targets this occurrence.
 
-    Raises :class:`InjectedCrash`/:class:`InjectedKill` or sleeps (``hang``,
-    ``delay``) according to the spec.  File-mutating kinds are handled by
+    Raises :class:`InjectedCrash`/:class:`InjectedKill` or sleeps
+    (``delay``) according to the spec.  File-mutating kinds are handled by
     :func:`fault_corrupt_file` and are ignored here.
     """
     if _injector is None:
@@ -265,9 +207,8 @@ def fault_check(site: str, key=None):
         raise InjectedCrash(site, spec.key, spec.kind)
     if spec.kind == "kill":
         raise InjectedKill(site, spec.key, spec.kind)
-    if spec.kind in ("hang", "delay"):
-        time.sleep(spec.seconds or DEFAULT_HANG_SECONDS)
-        return spec
+    if spec.kind == "delay":
+        time.sleep(spec.seconds or DEFAULT_DELAY_SECONDS)
     return spec
 
 
@@ -297,6 +238,6 @@ def fault_corrupt_file(site: str, key, path: str) -> bool:
     return False
 
 
-# Arm automatically when the environment carries a plan, so spawned worker
-# processes and CI subprocesses join the schedule without code changes.
+# Arm automatically when the environment carries a plan, so CI subprocesses
+# join the schedule without code changes.
 arm_from_env()

@@ -1,12 +1,12 @@
 """Training scale-out: sharded corpus generation and spill storage.
 
 ``repro.scale`` is the layer between corpus generation and training that lets
-one ``CoANE.fit`` outgrow a single process and a single allocation:
+one ``CoANE.fit`` outgrow a single allocation:
 
-* :func:`generate_context_shards` — partition start nodes across
-  ``multiprocessing`` workers, each with an independent ``SeedSequence``
-  stream; bit-identical to the classic path at ``num_workers=1`` and a pure
-  function of ``(seed, num_workers)`` above it,
+* :func:`generate_context_shards` — partition start nodes into
+  ``num_workers`` shards, run serially, each with an independent
+  ``SeedSequence`` stream; bit-identical to the classic path at
+  ``num_workers=1`` and a pure function of ``(seed, num_workers)`` above it,
 * :class:`ShardStore` — walk/context shards in memory or spilled to disk as
   memory-mapped ``.npy`` blocks.
 
@@ -19,7 +19,7 @@ context matrix nor the per-node ``M = [A_1 X | … | A_c X]`` ever exists.
 
 The float32 compute mode (``CoANEConfig(dtype="float32")``) lives in
 :mod:`repro.nn.tensor` (:func:`repro.nn.compute_dtype`);
-``repro bench --stage scale`` measures sharding and precision.
+``repro bench --stage scale`` times it against float64.
 """
 
 from repro.scale.sharding import (

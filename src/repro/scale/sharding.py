@@ -1,37 +1,34 @@
 """Sharded walk and context generation.
 
-Corpus generation is the embarrassingly parallel half of the pipeline: every
-start node's walks are independent draws, so partitioning the start nodes
-across workers costs nothing in fidelity — the only hard part is keeping the
-result deterministic.  The discipline here mirrors the trainer's
+Every start node's walks are independent draws, so the corpus can be cut
+into shards by start node at no cost in fidelity; the shards let a fit
+spill its windows to disk one block at a time.  Shards run serially, in
+shard order, in the calling process.  The only hard part is keeping the
+result deterministic; the discipline mirrors the trainer's
 :func:`repro.utils.rng.spawn_rngs`:
 
-* ``num_workers == 1`` replays the exact single-process path — the caller's
+* ``num_workers == 1`` replays the exact single-shard path — the caller's
   ``walk_rng`` / ``context_rng`` streams drive one whole-graph walk and one
   extraction, so the output is **bit-identical** to ``RandomWalker.walk`` +
   ``extract_contexts``.
-* ``num_workers > 1`` derives one independent ``SeedSequence`` child per
-  shard from the same root the trainer spawns its streams from (grandchildren
-  of the walk/context children, so no stream is ever consumed twice).  The
-  output is a pure function of ``(seed, num_workers)`` — identical whether
-  the shards run in worker processes, serially in-process, or in any
-  completion order.
+* ``num_workers > 1`` (the shard count; the name predates serial execution)
+  derives one independent ``SeedSequence`` child per shard from the same
+  root the trainer spawns its streams from (grandchildren of the
+  walk/context children, so no stream is ever consumed twice).  The output
+  is a pure function of ``(seed, num_workers)``.
 
 Word2vec subsampling needs *global* node frequencies, so generation is two
-phases: workers sample walk shards, the parent reduces their position counts,
+phases: every shard's walks are sampled, their position counts are reduced,
 then every shard's windows are extracted against the global frequency table.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as trace_span
 from repro.resilience.faults import fault_check
-from repro.resilience.supervisor import RetryPolicy, run_supervised
 from repro.scale.store import ShardStore
 from repro.utils.rng import spawn_rngs
 from repro.walks.contexts import extract_contexts
@@ -50,7 +47,7 @@ def plan_shards(num_nodes: int, num_shards: int) -> list:
 
 
 def shard_seed_sequences(seed, num_shards: int) -> tuple:
-    """Per-shard ``(walk, context)`` seed sequences for the parallel path.
+    """Per-shard ``(walk, context)`` seed sequences for the multi-shard path.
 
     Children 0 and 1 of ``SeedSequence(seed)`` are the same sequences the
     trainer turns into its walk/context generators; their *grandchildren*
@@ -61,70 +58,11 @@ def shard_seed_sequences(seed, num_shards: int) -> tuple:
     return children[0].spawn(num_shards), children[1].spawn(num_shards)
 
 
-def _walk_shard(graph, task, attempt: int = 0) -> np.ndarray:
-    """Sample one shard's walks with its own seeded stream.
-
-    The output is a pure function of the task payload — the fault-check site
-    and the retry ``attempt`` never touch the walk's ``SeedSequence``, so a
-    retried or degraded shard is bit-identical to a first-try one.
-    """
-    shard, start_nodes, walk_length, num_walks, seed_seq = task
-    # The span opens before the fault site so an injected crash/kill leaves
-    # a span_start with no span_end — the trace shows *which* shard attempt
-    # died, which is what links supervisor retry events back to their cause.
-    with trace_span("shard.walk", shard=shard, attempt=attempt,
-                    nodes=len(start_nodes)):
-        fault_check("shard.walk", (shard, attempt))
-        walker = RandomWalker(graph, seed=np.random.default_rng(seed_seq))
-        return walker.walk(walk_length, num_walks=num_walks,
-                           start_nodes=start_nodes)
-
-
-#: Per-worker graph installed by the pool initializer, so the (potentially
-#: large) adjacency + attribute matrices cross the process boundary once per
-#: worker instead of once per shard task.
-_worker_graph = None
-
-
-def _init_worker(graph):
-    global _worker_graph
-    _worker_graph = graph
-
-
-def _walk_shard_pooled(payload) -> np.ndarray:
-    task, attempt = payload
-    return _walk_shard(_worker_graph, task, attempt)
-
-
-def _map_shards(graph, tasks, num_workers: int, parallel: bool,
-                policy: RetryPolicy = None) -> tuple:
-    """Run shard tasks serially or under the supervised pool.
-
-    Returns ``(walk_blocks, report)``; ``report`` is ``None`` on the serial
-    path (nothing to supervise) and a
-    :class:`~repro.resilience.SupervisorReport` otherwise.
-    """
-    if not parallel or len(tasks) <= 1:
-        return [_walk_shard(graph, task) for task in tasks], None
-    processes = min(num_workers, len(tasks), os.cpu_count() or 1)
-
-    def local(task, attempt):
-        return _walk_shard(graph, task, attempt)
-
-    results, report = run_supervised(
-        tasks, _walk_shard_pooled, local, num_workers=processes,
-        policy=policy, initializer=_init_worker, initargs=(graph,),
-    )
-    return results, report
-
-
 def generate_context_shards(graph, *, walk_length: int, num_walks: int,
                             context_size: int, subsample_t: float,
                             seed=None, num_workers: int = 1,
                             walk_rng=None, context_rng=None,
-                            store: ShardStore = None,
-                            parallel: bool = None,
-                            policy: RetryPolicy = None) -> ShardStore:
+                            store: ShardStore = None) -> ShardStore:
     """Generate the walk/context corpus as shards; returns the filled store.
 
     Parameters
@@ -136,25 +74,15 @@ def generate_context_shards(graph, *, walk_length: int, num_walks: int,
     seed:
         Root seed; drives the per-shard streams when ``num_workers > 1``.
     num_workers:
-        Number of shards.  The output depends on this value (the determinism
-        contract is "reproducible given ``(seed, num_workers)``"), while
-        ``parallel`` is a pure execution detail that never changes bytes.
+        Number of shards, run serially in shard order.  The output depends
+        on this value: the determinism contract is "reproducible given
+        ``(seed, num_workers)``".
     walk_rng, context_rng:
-        Already-spawned generators for the single-worker path (the trainer
+        Already-spawned generators for the single-shard path (the trainer
         passes its own so the result is bit-identical to the historical
         in-process pipeline).  Ignored when ``num_workers > 1``.
     store:
         Destination :class:`ShardStore`; a fresh in-memory store by default.
-    parallel:
-        Run shards in a ``multiprocessing`` pool (default: only when
-        ``num_workers > 1``).  Serial execution produces identical shards.
-    policy:
-        :class:`~repro.resilience.RetryPolicy` for the supervised pool
-        (timeouts, retry budget, backoff); ``None`` uses the defaults.
-        Because every shard owns its seed stream, no fault schedule —
-        crashes, hangs, pool re-spawns, in-process degradation — can change
-        the corpus bytes; the supervision summary lands on
-        ``store.generation_report``.
     """
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -174,14 +102,17 @@ def generate_context_shards(graph, *, walk_length: int, num_walks: int,
 
     shards = plan_shards(n, num_workers)
     walk_seqs, context_seqs = shard_seed_sequences(seed, len(shards))
-    if parallel is None:
-        parallel = True
-    tasks = [(i, start_nodes, walk_length, num_walks, walk_seqs[i])
-             for i, start_nodes in enumerate(shards)]
-    walk_blocks, report = _map_shards(graph, tasks, num_workers, parallel,
-                                      policy=policy)
-    store.generation_report = report.as_dict() if report is not None else None
-    get_registry().counter("shard_tasks_total").inc(len(tasks))
+    walk_blocks = []
+    for i, start_nodes in enumerate(shards):
+        # The span opens before the fault site, so an injected crash closes
+        # it with the error: the trace names the shard that died.
+        with trace_span("shard.walk", shard=i, nodes=len(start_nodes)):
+            fault_check("shard.walk", (i,))
+            walker = RandomWalker(graph,
+                                  seed=np.random.default_rng(walk_seqs[i]))
+            walk_blocks.append(walker.walk(walk_length, num_walks=num_walks,
+                                           start_nodes=start_nodes))
+    get_registry().counter("shard_tasks_total").inc(len(shards))
 
     # Global reduce: subsampling probabilities must reflect the frequency of
     # each node across the WHOLE corpus, not one shard's slice of it.

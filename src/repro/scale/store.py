@@ -1,11 +1,11 @@
 """Shard storage for context corpora.
 
 A *shard* is one block of extracted context windows (plus their midst ids),
-produced by one worker of the sharded generation pipeline.  The store keeps
-shards either in memory or spilled to disk as ``.npy`` files; spilled window
-blocks are memory-mapped and read one shard at a time when the trainer folds
-them into its context shares (the factored aggregate; ``M`` is never built)
-and co-occurrence counts.
+walked from one block of start nodes by the sharded generation pipeline.
+The store keeps shards either in memory or spilled to disk as ``.npy``
+files; spilled window blocks are memory-mapped and read one shard at a time
+when the trainer folds them into its context shares (the factored aggregate;
+``M`` is never built) and co-occurrence counts.
 
 Midst ids always stay in memory: they cost one ``int64`` per context and give
 the per-node context counts before any window block is read, while the
@@ -88,9 +88,6 @@ class ShardStore:
         self._checksums = {}  # shard id -> content digest of the spilled file
         self._verified = set()  # shard ids whose spilled bytes were checked
         self._context_size = None
-        #: Supervision summary of the generation run that filled this store
-        #: (set by :func:`~repro.scale.generate_context_shards`).
-        self.generation_report = None
 
     # ------------------------------------------------------- context manager
     def __enter__(self) -> "ShardStore":

@@ -265,7 +265,7 @@ class TestMemoryBound:
             graph, walk_length=config.walk_length,
             num_walks=config.num_walks, context_size=config.context_size,
             subsample_t=config.subsample_t, seed=0, num_workers=4,
-            parallel=False, store=ShardStore())
+            store=ShardStore())
         tracemalloc.start()
         try:
             _, _, shares = fold_shard_store(store, graph.num_nodes)

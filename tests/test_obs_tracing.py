@@ -1,12 +1,11 @@
 """Span tracing: JSONL schema, arming precedence, disarmed cost, and the
-trace's agreement with the other sources of truth (Timer stages, the
-SupervisorReport).
+trace's agreement with the Timer stages.
 
 The schema contract under test: every line of a trace parses as JSON; span
 ids are unique; every ``span_end`` closes a previously opened id exactly
-once; parent links only ever reference known spans; a clean run closes every
-span it opens, while a crashed worker leaves a diagnostic ``span_start``
-with no ``span_end`` — and the file stays parseable either way.
+once; parent links only ever reference known spans; a run closes every span
+it opens, a crashed shard's span with the error name — and concurrent
+writers sharing one file never tear a line.
 """
 
 import json
@@ -31,7 +30,7 @@ from repro.obs.tracing import (
     tracing_active,
     use_trace,
 )
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy, arm, disarm
+from repro.resilience import FaultPlan, FaultSpec, InjectedCrash, arm, disarm
 from repro.scale import generate_context_shards
 from repro.utils.timing import Timer
 
@@ -264,88 +263,61 @@ class TestTimerAgreement:
         assert timer.summary()["total"] == timer.stages["work"]
 
 
-class TestSupervisorAgreement:
-    def test_trace_events_match_report_under_faults(self, small_graph,
-                                                    tmp_path):
-        """The acceptance criterion: a fault-injected run's trace events must
-        agree with the SupervisorReport — same retries, same respawns, same
-        degradations — because both come from one bookkeeping path."""
-        arm(FaultPlan([FaultSpec("shard.walk", "crash", (2, attempt))
-                       for attempt in range(3)]))
-        path = str(tmp_path / "faults.jsonl")
-        with use_trace(path):
-            store = generate_context_shards(
-                small_graph, walk_length=20, num_walks=2, context_size=5,
-                subsample_t=1e-4, seed=0, num_workers=4, parallel=True,
-                policy=RetryPolicy(max_retries=2, task_timeout=30.0,
-                                   backoff_base=0.01, backoff_max=0.05))
-        report = store.generation_report
-        assert report["degraded"] == [2]
-        summary = summarize_trace(read_trace(path))
-        events = summary["events"]
-        assert events.get("supervisor.retry", 0) == report["retries"]
-        assert events.get("supervisor.failure", 0) == report["failures"]
-        assert events.get("supervisor.respawn", 0) == report["respawns"]
-        assert events.get("supervisor.degraded", 0) == len(report["degraded"])
-
-    def test_crashed_attempt_closes_its_span_with_the_error(self, small_graph,
-                                                            tmp_path):
-        """A crash is an exception: the span context still closes, recording
-        the error name, so the trace names the attempt that failed."""
-        arm(FaultPlan([FaultSpec("shard.walk", "crash", (1, 0))]))
+class TestShardSpans:
+    def test_crashed_shard_closes_its_span_with_the_error(self, small_graph,
+                                                          tmp_path):
+        """A crash is an exception: it propagates out of generation, and the
+        span context still closes, recording the error name, so the trace
+        names the shard that failed."""
+        arm(FaultPlan([FaultSpec("shard.walk", "crash", (1,))]))
         path = str(tmp_path / "crash.jsonl")
         with use_trace(path):
-            generate_context_shards(
-                small_graph, walk_length=20, num_walks=2, context_size=5,
-                subsample_t=1e-4, seed=0, num_workers=4, parallel=True,
-                policy=RetryPolicy(max_retries=2, task_timeout=30.0,
-                                   backoff_base=0.01, backoff_max=0.05))
-        failed = [r for r in read_trace(path) if r["type"] == "span_end"
-                  and r["name"] == "shard.walk" and "error" in r]
-        assert len(failed) == 1
-        assert failed[0]["error"] == "InjectedCrash"
-        assert failed[0]["attrs"] == {"shard": 1, "attempt": 0, "nodes": 30}
-
-    def test_killed_worker_leaves_an_unclosed_walk_span(self, small_graph,
-                                                        tmp_path):
-        """A worker terminated mid-shard (hang -> deadline -> pool re-spawn)
-        never writes its span_end — the trace stays parseable and the
-        unclosed span_start names the attempt that died."""
-        arm(FaultPlan([FaultSpec("shard.walk", "hang", (1, 0), seconds=15.0)]))
-        path = str(tmp_path / "killed.jsonl")
-        with use_trace(path):
-            store = generate_context_shards(
-                small_graph, walk_length=20, num_walks=2, context_size=5,
-                subsample_t=1e-4, seed=0, num_workers=4, parallel=True,
-                policy=RetryPolicy(task_timeout=1.0, backoff_base=0.01))
-        assert store.generation_report["respawns"] == 1
-        records = read_trace(path)  # parseable despite the killed writer
-        summary = summarize_trace(records)
-        assert summary["spans"]["shard.walk"]["unclosed"] >= 1
-        open_ids = ({r["id"] for r in records if r["type"] == "span_start"
-                     and r["name"] == "shard.walk"}
-                    - {r["id"] for r in records if r["type"] == "span_end"})
-        dead = [r for r in records if r["type"] == "span_start"
-                and r["id"] in open_ids]
-        assert any(r["attrs"]["shard"] == 1 and r["attrs"]["attempt"] == 0
-                   for r in dead)
-
-
-class TestMultiprocessInterleaving:
-    def test_forked_workers_append_whole_lines(self, small_graph, tmp_path):
-        path = str(tmp_path / "pool.jsonl")
-        with use_trace(path):
-            generate_context_shards(
-                small_graph, walk_length=15, num_walks=1, context_size=5,
-                subsample_t=1e-4, seed=0, num_workers=3, parallel=True)
+            with pytest.raises(InjectedCrash):
+                generate_context_shards(
+                    small_graph, walk_length=20, num_walks=2, context_size=5,
+                    subsample_t=1e-4, seed=0, num_workers=4)
         records = read_trace(path)
-        walks = [r for r in records if r["type"] == "span_start"
-                 and r["name"] == "shard.walk"]
-        assert len(walks) == 3
-        # Worker pids differ from the parent's, and ids stay globally unique
-        # because each embeds its writer's pid.
-        pids = {r["pid"] for r in walks}
-        starts, _ = _ids_by_type(records)
-        assert len(starts) == len(set(starts))
-        if os.name == "posix" and len(pids) > 1:
-            assert os.getpid() not in pids
+        walk_ends = [r for r in records if r["type"] == "span_end"
+                     and r["name"] == "shard.walk"]
+        # Shard 0 finished; shard 1 crashed; shards 2 and 3 never started.
+        assert [r["attrs"]["shard"] for r in walk_ends] == [0, 1]
+        assert "error" not in walk_ends[0]
+        assert walk_ends[1]["error"] == "InjectedCrash"
+        assert walk_ends[1]["attrs"] == {"shard": 1, "nodes": 30}
+        assert summarize_trace(records)["spans"]["shard.walk"]["unclosed"] == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestMultiprocessInterleaving:
+    def test_forked_writers_append_whole_lines(self, tmp_path):
+        """Processes sharing one trace file (forked while it is armed, or
+        subprocesses armed through REPRO_TRACE) interleave whole lines: one
+        write() per record on an O_APPEND descriptor, ids unique because
+        each embeds its writer's pid."""
+        path = str(tmp_path / "forked.jsonl")
+        writers, records_each = 3, 200
+        padding = "x" * 2048  # records far beyond one pipe-sized write
+        with use_trace(path):
+            children = []
+            for writer in range(writers):
+                pid = os.fork()
+                if pid == 0:  # child: write, then leave without cleanup
+                    try:
+                        for i in range(records_each):
+                            with span("writer.task", writer=writer, i=i,
+                                      padding=padding):
+                                pass
+                    finally:
+                        os._exit(0)
+                children.append(pid)
+            for pid in children:
+                _, status = os.waitpid(pid, 0)
+                assert os.WEXITSTATUS(status) == 0
+        records = read_trace(path)  # raises on any torn or spliced line
+        starts = [r for r in records if r["type"] == "span_start"]
+        assert len(starts) == writers * records_each
+        assert all(r["attrs"]["padding"] == padding for r in starts)
+        ids, ends = _ids_by_type(records)
+        assert len(ids) == len(set(ids)) and sorted(ids) == sorted(ends)
+        pids = {r["pid"] for r in starts}
+        assert len(pids) == writers and os.getpid() not in pids

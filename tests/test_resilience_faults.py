@@ -1,8 +1,8 @@
-"""Fault injection, supervised shard generation, and storage integrity.
+"""Fault injection, shard generation under faults, and storage integrity.
 
 The determinism contract under test: the corpus is a pure function of
-``(seed, num_workers)`` — no fault schedule (crashes, hangs, pool re-spawns,
-corrupted spills, in-process degradation) may change a single byte of it.
+``(seed, num_workers)`` — a corrupted spill is healed without changing a
+single byte of it, and a crashed or killed shard fails the run loudly.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.resilience import (
     FaultSpec,
     InjectedCrash,
     InjectedKill,
-    RetryPolicy,
     ShardCorruptError,
     arm,
     array_checksum,
@@ -27,7 +26,6 @@ from repro.resilience import (
     disarm,
     fault_check,
     get_injector,
-    run_supervised,
 )
 from repro.resilience.faults import FAULT_PLAN_ENV, arm_from_env, fault_corrupt_file
 from repro.resilience.integrity import load_verified_npy
@@ -35,9 +33,6 @@ from repro.scale import ShardStore, generate_context_shards, reap_orphans
 from repro.scale.store import OWNER_MARKER
 
 CORPUS = dict(walk_length=20, num_walks=2, context_size=5, subsample_t=1e-4)
-
-#: Snappy supervision for tests: retries back off in milliseconds.
-FAST = dict(task_timeout=30.0, backoff_base=0.01, backoff_max=0.05)
 
 
 @pytest.fixture(autouse=True)
@@ -58,60 +53,41 @@ def _corpus(store):
 def _generate(graph, **kwargs):
     kwargs.setdefault("seed", 0)
     kwargs.setdefault("num_workers", 4)
-    kwargs.setdefault("parallel", True)
     return generate_context_shards(graph, **CORPUS, **kwargs)
 
 
 # --------------------------------------------------------------- fault plans
 class TestFaultPlan:
-    def test_shard_chaos_is_deterministic(self):
-        one = FaultPlan.shard_chaos(seed=11, num_shards=4)
-        two = FaultPlan.shard_chaos(seed=11, num_shards=4)
-        assert one.to_json() == two.to_json()
-        assert FaultPlan.shard_chaos(seed=12, num_shards=4).to_json() != one.to_json()
-
-    def test_shard_chaos_contents(self):
-        plan = FaultPlan.shard_chaos(seed=11, num_shards=4, crashes=3,
-                                     corrupt_spills=1)
-        kinds = [spec.kind for spec in plan]
-        assert kinds.count("crash") == 3
-        assert kinds.count("corrupt") == 1
-        # Repeated crash draws on one shard escalate the attempt number, so
-        # a bounded-retry supervisor always converges.
-        crash_keys = [spec.key for spec in plan if spec.kind == "crash"]
-        assert len(set(crash_keys)) == len(crash_keys)
-
     def test_json_round_trip(self):
-        plan = FaultPlan([FaultSpec("shard.walk", "hang", (1, 0), seconds=2.5)],
-                         seed=9)
+        plan = FaultPlan([FaultSpec("serve.search", "delay", (1,), seconds=2.5),
+                          FaultSpec("shard.walk", "crash", (0,))])
         restored = FaultPlan.from_json(plan.to_json())
-        assert restored.seed == 9
         assert restored.specs == plan.specs
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            FaultSpec("shard.walk", "explode", (0, 0))
+            FaultSpec("shard.walk", "explode", (0,))
 
     def test_arm_from_env(self, monkeypatch):
-        plan = FaultPlan([FaultSpec("shard.walk", "crash", (0, 0))])
+        plan = FaultPlan([FaultSpec("shard.walk", "crash", (0,))])
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
         injector = arm_from_env()
         assert injector is get_injector()
         assert injector.pending() == 1
         with pytest.raises(InjectedCrash):
-            fault_check("shard.walk", (0, 0))
+            fault_check("shard.walk", (0,))
         assert injector.pending() == 0
 
     def test_disarmed_sites_are_noops(self):
         assert get_injector() is None
-        assert fault_check("shard.walk", (0, 0)) is None
+        assert fault_check("shard.walk", (0,)) is None
         assert fault_check("train.epoch") is None
 
     def test_each_spec_fires_once(self):
-        arm(FaultPlan([FaultSpec("shard.walk", "crash", (0, 0))]))
+        arm(FaultPlan([FaultSpec("shard.walk", "crash", (0,))]))
         with pytest.raises(InjectedCrash):
-            fault_check("shard.walk", (0, 0))
-        assert fault_check("shard.walk", (0, 0)) is None
+            fault_check("shard.walk", (0,))
+        assert fault_check("shard.walk", (0,)) is None
 
     def test_counter_keyed_site(self):
         arm(FaultPlan([FaultSpec("train.checkpoint", "crash", (2,))]))
@@ -121,88 +97,60 @@ class TestFaultPlan:
             fault_check("train.checkpoint")              # occurrence 2
 
 
-# --------------------------------------------- supervised corpus generation
-class TestSupervisedGeneration:
+# ------------------------------------------------- generation under faults
+class TestGenerationUnderFaults:
     @pytest.fixture(scope="class")
     def baseline(self, small_graph):
-        store = _generate(small_graph)
-        assert store.generation_report["retries"] == 0
-        return _corpus(store)
+        return _corpus(_generate(small_graph))
 
-    @pytest.mark.parametrize("fault_seed", [123, 7, 42])
-    def test_crashes_and_corrupt_spill_bit_identical(self, small_graph,
-                                                     baseline, fault_seed):
-        """The acceptance schedule: >= 3 worker crashes plus a corrupted
-        spill at num_workers=4 still yields the fault-free corpus exactly."""
-        arm(FaultPlan.shard_chaos(seed=fault_seed, num_shards=4, crashes=3,
-                                  corrupt_spills=1))
+    @pytest.mark.parametrize("shard", [0, 1, 2, 3])
+    def test_corrupt_spill_heals_bit_identical(self, small_graph, baseline,
+                                               shard):
+        """A corrupted shard spill is re-written from memory: the spilled
+        corpus equals the fault-free in-memory one exactly, whichever shard
+        the corruption hits."""
+        arm(FaultPlan([FaultSpec("store.spill", "corrupt", (shard, 0))]))
         with tempfile.TemporaryDirectory() as spill_dir:
             with ShardStore(spill_dir=spill_dir) as store:
-                _generate(small_graph, store=store, policy=RetryPolicy(**FAST))
+                _generate(small_graph, store=store)
                 windows, midst = _corpus(store)
-                report = store.generation_report
+        assert get_injector().pending() == 0
         assert np.array_equal(windows, baseline[0])
         assert np.array_equal(midst, baseline[1])
-        assert report["retries"] >= 1
-
-    def test_hang_respawns_pool_and_stays_identical(self, small_graph, baseline):
-        arm(FaultPlan([FaultSpec("shard.walk", "hang", (1, 0), seconds=15.0)]))
-        store = _generate(small_graph,
-                          policy=RetryPolicy(task_timeout=1.0,
-                                             backoff_base=0.01))
-        windows, midst = _corpus(store)
-        assert np.array_equal(windows, baseline[0])
-        assert np.array_equal(midst, baseline[1])
-        assert store.generation_report["timeouts"] == 1
-        assert store.generation_report["respawns"] == 1
-
-    def test_exhausted_retries_degrade_in_process(self, small_graph, baseline):
-        arm(FaultPlan([FaultSpec("shard.walk", "crash", (2, attempt))
-                       for attempt in range(3)]))
-        store = _generate(small_graph, policy=RetryPolicy(max_retries=2, **FAST))
-        windows, midst = _corpus(store)
-        assert np.array_equal(windows, baseline[0])
-        assert np.array_equal(midst, baseline[1])
-        assert store.generation_report["degraded"] == [2]
 
     def test_injected_kill_propagates(self, small_graph):
-        arm(FaultPlan([FaultSpec("shard.walk", "kill", (0, 0))]))
+        arm(FaultPlan([FaultSpec("shard.walk", "kill", (0,))]))
         with pytest.raises(InjectedKill):
-            _generate(small_graph, policy=RetryPolicy(**FAST))
+            _generate(small_graph)
 
-    def test_serial_path_reports_nothing(self, small_graph):
-        store = _generate(small_graph, parallel=False)
-        assert store.generation_report is None
+    def test_crash_is_not_retried_and_a_rerun_is_identical(self, small_graph,
+                                                           baseline):
+        """Generation keeps no retry loop: a crashed shard fails the run,
+        and the recovery is to run generation again, which yields the
+        fault-free corpus because the spent spec does not fire twice."""
+        arm(FaultPlan([FaultSpec("shard.walk", "crash", (1,))]))
+        with pytest.raises(InjectedCrash):
+            _generate(small_graph)
+        assert get_injector().pending() == 0
+        windows, midst = _corpus(_generate(small_graph))
+        assert np.array_equal(windows, baseline[0])
+        assert np.array_equal(midst, baseline[1])
 
+    def test_unhealable_spill_fails_generation_and_cleans_up(self,
+                                                             small_graph):
+        """A shard whose spill stays corrupt through every re-write fails
+        generation with ShardCorruptError; the shards spilled before it are
+        removed with the store."""
+        from repro.scale.store import SPILL_WRITE_RETRIES
 
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.05, backoff_factor=2.0,
-                             backoff_max=0.3, jitter=0.25)
-        first = policy.backoff(3, 1)
-        assert first == policy.backoff(3, 1)
-        assert first != policy.backoff(4, 1)
-        assert policy.backoff(0, 50) <= 0.3 * 1.25
-
-    def test_validate_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1).validate()
-        with pytest.raises(ValueError):
-            RetryPolicy(task_timeout=0).validate()
-
-    def test_run_supervised_failure_after_degradation(self):
-        from repro.resilience.supervisor import TaskFailedError
-
-        def local(task, attempt):
-            raise RuntimeError("always broken")
-
-        with pytest.raises(TaskFailedError):
-            run_supervised([0], _always_fails, local, num_workers=2,
-                           policy=RetryPolicy(max_retries=1, **FAST))
-
-
-def _always_fails(payload):
-    raise RuntimeError("always broken")
+        arm(FaultPlan([FaultSpec("store.spill", "corrupt", (2, attempt))
+                       for attempt in range(SPILL_WRITE_RETRIES + 1)]))
+        with tempfile.TemporaryDirectory() as spill_dir:
+            with pytest.raises(ShardCorruptError, match="unreliable"):
+                with ShardStore(spill_dir=spill_dir) as store:
+                    _generate(small_graph, store=store)
+            assert store.num_shards == 2
+            assert os.listdir(spill_dir) == []
 
 
 # ----------------------------------------------------------- store integrity

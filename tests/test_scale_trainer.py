@@ -87,9 +87,10 @@ class TestFloat32Mode:
 
 
 class TestConfigSurface:
-    def test_sharding_requires_walk_contexts(self):
-        with pytest.raises(ValueError, match="context_source"):
-            CoANEConfig(num_workers=2, context_source="onehop").validate()
+    def test_sharding_requires_walk_contexts(self, tmp_path):
+        for scale_out in ({"num_workers": 2}, {"spill_dir": str(tmp_path)}):
+            with pytest.raises(ValueError, match="context_source"):
+                CoANEConfig(context_source="onehop", **scale_out).validate()
 
     def test_dtype_and_workers_validated(self):
         with pytest.raises(ValueError, match="dtype"):

@@ -675,8 +675,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
                     "('repro train --trace' or REPRO_TRACE).",
     )
     parser.add_argument("action", choices=["summarize"],
-                        help="'summarize' prints per-span aggregates, event "
-                             "counts, and any recorded metrics snapshots")
+                        help="'summarize' prints per-span aggregates and any "
+                             "recorded metrics snapshots")
     parser.add_argument("path", help="trace file (JSONL)")
     return parser
 
@@ -699,10 +699,6 @@ def run_trace(argv) -> int:
     print(format_table(
         ["span", "count", "total s", "mean s", "max s", "unclosed"], rows,
         title=f"trace summary ({args.path}, {len(records)} records)"))
-    if summary["events"]:
-        rows = [[name, count]
-                for name, count in sorted(summary["events"].items())]
-        print(format_table(["event", "count"], rows, title="events"))
     for snapshot_record in summary["metrics"]:
         counters = snapshot_record.get("snapshot", {}).get("counters", {})
         if counters:

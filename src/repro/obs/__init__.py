@@ -6,9 +6,9 @@ failures go".  Four pieces:
 * :mod:`repro.obs.metrics` — counters, gauges, log-bucketed histograms with
   p50/p95/p99, labels, a plain-dict ``snapshot()`` and a Prometheus text
   exporter; process-global with ``use_registry()`` scoped override.
-* :mod:`repro.obs.tracing` — nested spans and point events appended to a
-  JSONL trace, armed by ``CoANEConfig(trace_path=...)`` / ``repro train
-  --trace`` / ``REPRO_TRACE``; a provable no-op when disarmed.
+* :mod:`repro.obs.tracing` — nested spans and run records in a JSONL trace,
+  armed by ``CoANEConfig(trace_path=...)`` / ``repro train --trace`` /
+  ``REPRO_TRACE``; a provable no-op when disarmed.
 * :mod:`repro.obs.profiling` — an opt-in ``ArrayOps`` proxy recording
   per-op call counts and seconds of the numpy ops.
 * :mod:`repro.obs.manifest` — seed / dtype / config-digest / git / host
@@ -40,7 +40,6 @@ from repro.obs.tracing import (
     Tracer,
     arm_trace,
     disarm_trace,
-    event,
     get_tracer,
     read_trace,
     record_metrics,
@@ -62,7 +61,6 @@ __all__ = [
     "config_digest",
     "default_time_buckets",
     "disarm_trace",
-    "event",
     "get_registry",
     "get_tracer",
     "git_provenance",

@@ -2,10 +2,10 @@
 
 A *span* is one timed region of the pipeline — an epoch, a mini-batch, a
 shard task, a pipeline stage — with monotonic start/end timestamps, a wall
-clock stamp, a parent link, and free-form attributes.  An *event* is a point
-record (a named marker, a metrics snapshot).  Both serialise as one JSON
-object per line, so a trace survives the process that wrote it and a crashed
-run's trace is readable up to its last complete line.
+clock stamp, a parent link, and free-form attributes.  Spans, the run
+manifest and metrics snapshots all serialise as one JSON object per line,
+so a trace survives the process that wrote it and a crashed run's trace is
+readable up to its last complete line.
 
 Arming and precedence
 ---------------------
@@ -31,9 +31,9 @@ embedding digests must hold byte-identically with tracing fully armed —
 
 Disarmed cost
 -------------
-When nothing is armed, :func:`span` returns a shared null context and
-:func:`event` returns immediately — one module-global ``None`` comparison
-per site, the same budget as :func:`~repro.resilience.faults.fault_check`.
+When nothing is armed, :func:`span` returns a shared null context — one
+module-global ``None`` comparison per site, the same budget as
+:func:`~repro.resilience.faults.fault_check`.
 
 Durability
 ----------
@@ -42,7 +42,7 @@ The trace file is opened ``O_APPEND | O_CREAT``; :meth:`Tracer.close` (and
 ``atexit`` hook, so an orderly exit never loses buffered lines.  A killed
 process loses at most the records the OS had not flushed — acceptable for
 telemetry, where the atomic-replace machinery used by checkpoints would
-force a rewrite-per-event instead.
+force a rewrite per record instead.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class Span:
 
 
 class Tracer:
-    """Writes span/event records to one append-only JSONL file.
+    """Writes trace records to one append-only JSONL file.
 
     One tracer per process (module-global, see :func:`arm_trace`); the
     per-thread span stack gives every record a correct parent link without
@@ -179,14 +179,6 @@ class Tracer:
         if error is not None:
             record["error"] = error
         self._write(record)
-
-    # ---------------------------------------------------------------- events
-    def event(self, name: str, attrs: dict = None):
-        stack = self._stack()
-        self._write({"type": "event", "name": name,
-                     "parent": stack[-1].span_id if stack else None,
-                     "mono": time.perf_counter(), "wall": time.time(),
-                     "attrs": attrs or {}})
 
     def manifest(self, attrs: dict):
         """The per-run provenance record (see :mod:`repro.obs.manifest`)."""
@@ -302,13 +294,6 @@ def span(name: str, **attrs):
     return _tracer.span(name, attrs)
 
 
-def event(name: str, **attrs):
-    """Trace site for point events; no-op when disarmed."""
-    if _tracer is None:
-        return
-    _tracer.event(name, attrs)
-
-
 def record_metrics(snapshot: dict, label: str = "final"):
     """Persist a metrics snapshot into the armed trace (no-op disarmed)."""
     if _tracer is None:
@@ -343,12 +328,11 @@ def summarize_trace(records) -> dict:
     """Aggregate a parsed trace into per-span-name statistics.
 
     Returns ``{"spans": {name: {count, total_s, mean_s, max_s, unclosed}},
-    "events": {name: count}, "manifests": [...], "metrics": [...]}`` — the
-    table ``repro trace summarize`` prints.
+    "manifests": [...], "metrics": [...]}`` — the table ``repro trace
+    summarize`` prints.
     """
     open_spans = {}
     spans = {}
-    events = {}
     manifests = []
     metrics = []
     for record in records:
@@ -363,8 +347,6 @@ def summarize_trace(records) -> dict:
             entry["count"] += 1
             entry["total_s"] += record.get("seconds", 0.0)
             entry["max_s"] = max(entry["max_s"], record.get("seconds", 0.0))
-        elif kind == "event":
-            events[record["name"]] = events.get(record["name"], 0) + 1
         elif kind == "manifest":
             manifests.append(record)
         elif kind == "metrics":
@@ -377,8 +359,7 @@ def summarize_trace(records) -> dict:
     for entry in spans.values():
         entry["mean_s"] = (entry["total_s"] / entry["count"]
                            if entry["count"] else 0.0)
-    return {"spans": spans, "events": events, "manifests": manifests,
-            "metrics": metrics}
+    return {"spans": spans, "manifests": manifests, "metrics": metrics}
 
 
 # Arm automatically when the environment names a trace file, so CI

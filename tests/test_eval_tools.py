@@ -44,6 +44,18 @@ class TestLogisticRegression:
         with pytest.raises(ValueError):
             LogisticRegression().fit(np.zeros((3, 2)), np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize("l2", [0.0, -1.0])
+    def test_rejects_non_positive_l2(self, l2):
+        # Without a penalty, separable data has no minimiser.
+        with pytest.raises(ValueError, match="l2 must be positive"):
+            LogisticRegression(l2=l2)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_rejects_single_class_targets(self, value):
+        x, _ = self._separable(n=20)
+        with pytest.raises(ValueError, match="both classes"):
+            LogisticRegression().fit(x, np.full(20, value))
+
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             LogisticRegression().predict(np.zeros((2, 2)))

@@ -22,7 +22,6 @@ from repro.obs.tracing import (
     arm_from_env,
     arm_trace,
     disarm_trace,
-    event,
     get_tracer,
     read_trace,
     span,
@@ -67,9 +66,6 @@ class TestDisarmed:
         with span("scope") as active:
             assert active is None
         assert _NULL_SPAN.set(x=1) is None
-
-    def test_event_is_noop(self):
-        assert event("anything", detail=1) is None
 
     def test_tracing_inactive(self):
         assert not tracing_active()
@@ -124,10 +120,11 @@ class TestArming:
 
     def test_closed_tracer_drops_writes(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        arm_trace(path)
-        event("before")
+        tracer = arm_trace(path)
+        tracer.manifest({"when": "before"})
         disarm_trace()
-        assert len(read_trace(path)) == 1
+        tracer.manifest({"when": "after"})
+        assert [r["attrs"] for r in read_trace(path)] == [{"when": "before"}]
 
 
 # ------------------------------------------------------------- JSONL schema
@@ -215,7 +212,7 @@ class TestTraceSchema:
 class TestTraceReading:
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "torn.jsonl"
-        path.write_bytes(b'{"type": "event", "name": "ok", "attrs": {}}\n'
+        path.write_bytes(b'{"type": "span_end", "name": "ok", "id": "1-0"}\n'
                          b'{"type": "span_st')
         records = read_trace(str(path))
         assert len(records) == 1
@@ -223,9 +220,9 @@ class TestTraceReading:
 
     def test_garbage_mid_file_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_bytes(b'{"type": "event", "name": "a", "attrs": {}}\n'
+        path.write_bytes(b'{"type": "manifest", "attrs": {}}\n'
                          b'not json at all\n'
-                         b'{"type": "event", "name": "b", "attrs": {}}\n')
+                         b'{"type": "manifest", "attrs": {}}\n')
         with pytest.raises(ValueError, match="unparseable"):
             read_trace(str(path))
 
